@@ -41,8 +41,10 @@ import (
 // Transport is the coordinator's view of the peer set. Peer indices
 // are dense [0, Peers()); a transport error from Expand marks the peer
 // dead for the rest of the run (the recovery path), while errors from
-// the serial barrier calls fail the job — they leave no half-expanded
+// the barrier calls fail the job — they leave no half-expanded
 // layer to roll back and retrying them is the campaign's business.
+// Run calls PendMeta, Commit and Snapshot for all shards at once, so
+// those must be safe to call concurrently for distinct shards.
 type Transport interface {
 	Peers() int
 	Seed(p int) error
@@ -131,10 +133,25 @@ func (r *byteReader) Read(p []byte) (int, error) {
 // peer's shards migrate), so the bound is only a backstop.
 const maxLayerRetries = 4
 
-// pendTagged is one pending entry during the coordinator's global merge.
-type pendTagged struct {
-	shard int
-	meta  explore.PendMeta
+// eachShard calls f for every shard concurrently and returns the error
+// of the lowest-numbered shard that failed.
+func eachShard(nShards int, f func(s int) error) error {
+	errs := make([]error, nShards)
+	var wg sync.WaitGroup
+	for s := range errs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[s] = f(s)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Run executes one exploration across the transport's peers and
@@ -172,9 +189,11 @@ func Run[S sim.Cloneable[S]](ctx context.Context, newModel func() *explore.Model
 
 	// Coordinator-side trace state, indexed by gid: mirror of the
 	// single-node parentOf/selOf plus the owning shard (keys are
-	// fetched from the owner when a trace is built).
+	// fetched from the owner when a trace is built). Selections are
+	// packed back to back: gid x's is sels[selEnd[x-1]:selEnd[x]].
 	var parentOf []int32
-	var selOf []string
+	var sels []byte
+	var selEnd []int
 	var shardOf []uint16
 	totalStates := 0
 
@@ -183,52 +202,72 @@ func Run[S sim.Cloneable[S]](ctx context.Context, newModel func() *explore.Model
 	// order, enforce the state bound, assign gids, and commit each
 	// shard's kept prefix back. Returns the number of states promoted.
 	mergeCommit := func(housekeep bool) (int, error) {
-		var all []pendTagged
-		for s := 0; s < nShards; s++ {
-			meta, err := tr.PendMeta(route[s], s)
-			if err != nil {
-				return 0, fmt.Errorf("cluster: pending metadata for shard %d: %w", s, err)
+		metas := make([][]explore.PendMeta, nShards)
+		err := eachShard(nShards, func(s int) error {
+			var err error
+			if metas[s], err = tr.PendMeta(route[s], s); err != nil {
+				return fmt.Errorf("cluster: pending metadata for shard %d: %w", s, err)
 			}
-			for _, m := range meta {
-				all = append(all, pendTagged{shard: s, meta: m})
-			}
+			return nil
+		})
+		if err != nil {
+			return 0, err
 		}
-		// pos values are globally unique — each (item, branch) probes
-		// one key at one owner — so this sort is a strict total order:
-		// exactly the single-node Drain order.
-		slices.SortFunc(all, func(a, b pendTagged) int { return cmp.Compare(a.meta.Pos, b.meta.Pos) })
-		keep := len(all)
+		keep := 0
+		for _, m := range metas {
+			keep += len(m)
+		}
 		if opts.MaxStates > 0 {
 			if room := opts.MaxStates - totalStates; keep > room {
 				keep = max(room, 0)
 				res.Truncated = true
 			}
 		}
+		// pos values are globally unique — each (item, branch) probes
+		// one key at one owner — so merging the pos-sorted shard lists
+		// by their heads yields exactly the single-node Drain order.
 		gids := make([][]int32, nShards)
+		heads := make([]int, nShards)
+		var last uint64
 		for i := 0; i < keep; i++ {
-			t := all[i]
-			gid := int32(totalStates + i)
-			parentOf = append(parentOf, t.meta.Parent)
-			selOf = append(selOf, string(t.meta.Sel))
-			shardOf = append(shardOf, uint16(t.shard))
-			gids[t.shard] = append(gids[t.shard], gid)
-		}
-		for s := 0; s < nShards; s++ {
-			if err := tr.Commit(route[s], s, len(gids[s]), gids[s], housekeep); err != nil {
-				return 0, fmt.Errorf("cluster: commit shard %d: %w", s, err)
+			s := -1
+			for t, h := range heads {
+				if h < len(metas[t]) && (s < 0 || metas[t][h].Pos < metas[s][heads[s]].Pos) {
+					s = t
+				}
 			}
+			m := metas[s][heads[s]]
+			heads[s]++
+			if i > 0 && m.Pos <= last {
+				return 0, fmt.Errorf("cluster: shard %d pending metadata is not in strictly increasing pos order", s)
+			}
+			last = m.Pos
+			parentOf = append(parentOf, m.Parent)
+			sels = append(sels, m.Sel...)
+			selEnd = append(selEnd, len(sels))
+			shardOf = append(shardOf, uint16(s))
+			gids[s] = append(gids[s], int32(totalStates+i))
+		}
+		err = eachShard(nShards, func(s int) error {
+			if err := tr.Commit(route[s], s, len(gids[s]), gids[s], housekeep); err != nil {
+				return fmt.Errorf("cluster: commit shard %d: %w", s, err)
+			}
+			return nil
+		})
+		if err != nil {
+			return 0, err
 		}
 		totalStates += keep
 		return keep, nil
 	}
 
 	snapshotAll := func() error {
-		for s := 0; s < nShards; s++ {
+		return eachShard(nShards, func(s int) error {
 			if err := tr.Snapshot(route[s], s); err != nil {
 				return fmt.Errorf("cluster: snapshot shard %d: %w", s, err)
 			}
-		}
-		return nil
+			return nil
+		})
 	}
 
 	// buildTrace mirrors the single-node trace builder with the keys
@@ -258,7 +297,12 @@ func Run[S sim.Cloneable[S]](ctx context.Context, newModel func() *explore.Model
 		for i := len(path) - 1; i >= 0; i-- {
 			x := path[i]
 			key := keyOf[x]
-			out = append(out, explore.TraceStep{Sel: explore.DecodeSel(selOf[x]), Config: m0.RenderKey(key), Key: key})
+			from := 0
+			if x > 0 {
+				from = selEnd[x-1]
+			}
+			sel := explore.DecodeSel(string(sels[from:selEnd[x]]))
+			out = append(out, explore.TraceStep{Sel: sel, Config: m0.RenderKey(key), Key: key})
 		}
 		if wv.Key != nil {
 			out = append(out, explore.TraceStep{Sel: wv.Sel, Config: m0.RenderKey(wv.Key), Key: wv.Key})

@@ -15,9 +15,11 @@ import (
 
 // RPCRequest is the control-plane wire envelope for the cluster tier:
 // one op-discriminated JSON shape shared by the coordinator (this
-// package's HTTP transport) and the peer side (internal/serve). The
-// data plane — frontier frames — stays binary and travels separately
-// (POST /v1/cluster/frontier).
+// package's HTTP transport) and the peer side (internal/serve). Bulk
+// barrier data never travels as JSON arrays: gid lists ride in Payload
+// (AppendGids), and the pendmeta response body is the raw AppendMeta
+// payload. The data plane — frontier frames — is binary too and
+// travels separately (POST /v1/cluster/frontier).
 type RPCRequest struct {
 	// Op selects the call: open, seed, expand, finish, pendmeta,
 	// commit, keys, snapshot, rollback, route, close.
@@ -37,23 +39,24 @@ type RPCRequest struct {
 	FirstGid int32 `json:"first_gid,omitempty"`
 	AtCap    bool  `json:"at_cap,omitempty"`
 
-	// pendmeta / commit / keys / snapshot
-	Shard     int     `json:"shard"`
-	Keep      int     `json:"keep,omitempty"`
-	Gids      []int32 `json:"gids,omitempty"`
-	Housekeep bool    `json:"housekeep,omitempty"`
+	// pendmeta / commit / keys / snapshot; Payload is the packed gid
+	// list (AppendGids) of a commit or keys call.
+	Shard     int    `json:"shard"`
+	Keep      int    `json:"keep,omitempty"`
+	Payload   []byte `json:"payload,omitempty"`
+	Housekeep bool   `json:"housekeep,omitempty"`
 
 	// route
 	Route []int `json:"route,omitempty"`
 }
 
-// RPCResponse carries whichever payload the op produces; HTTP-level
-// failures and peer-side errors both surface as non-200 statuses with
-// the server's usual error envelope.
+// RPCResponse carries whichever result the op produces (every op but
+// pendmeta, whose response body is the packed AppendMeta payload);
+// HTTP-level failures and peer-side errors both surface as non-200
+// statuses with the server's usual error envelope.
 type RPCResponse struct {
 	Report *explore.LayerReport `json:"report,omitempty"`
 	Cap    bool                 `json:"cap,omitempty"`
-	Meta   []explore.PendMeta   `json:"meta,omitempty"`
 	Keys   [][]uint64           `json:"keys,omitempty"`
 }
 
@@ -125,6 +128,19 @@ func DialHTTP(ctx context.Context, cfg HTTPConfig) (*HTTP, error) {
 }
 
 func (h *HTTP) rpc(ctx context.Context, p int, req RPCRequest) (*RPCResponse, error) {
+	body, err := h.call(ctx, p, req)
+	if err != nil {
+		return nil, err
+	}
+	var out RPCResponse
+	if err := json.Unmarshal(body, &out); err != nil {
+		return nil, fmt.Errorf("peer %d: decode %s response: %w", p, req.Op, err)
+	}
+	return &out, nil
+}
+
+// call posts one RPC and returns the raw 200 response body.
+func (h *HTTP) call(ctx context.Context, p int, req RPCRequest) ([]byte, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return nil, err
@@ -144,11 +160,11 @@ func (h *HTTP) rpc(ctx context.Context, p int, req RPCRequest) (*RPCResponse, er
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 		return nil, fmt.Errorf("peer %d: %s %s: %s", p, req.Op, resp.Status, bytes.TrimSpace(msg))
 	}
-	var out RPCResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return nil, fmt.Errorf("peer %d: decode %s response: %w", p, req.Op, err)
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("peer %d: read %s response: %w", p, req.Op, err)
 	}
-	return &out, nil
+	return out, nil
 }
 
 // Peers implements Transport.
@@ -185,24 +201,31 @@ func (h *HTTP) FinishLayer(p int) (bool, error) {
 
 // PendMeta implements Transport.
 func (h *HTTP) PendMeta(p, shard int) ([]explore.PendMeta, error) {
-	out, err := h.rpc(context.Background(), p, RPCRequest{Op: "pendmeta", Job: h.cfg.Job, Shard: shard})
+	body, err := h.call(context.Background(), p, RPCRequest{Op: "pendmeta", Job: h.cfg.Job, Shard: shard})
 	if err != nil {
 		return nil, err
 	}
-	return out.Meta, nil
+	meta, err := DecodeMeta(body)
+	if err != nil {
+		return nil, fmt.Errorf("peer %d: %w", p, err)
+	}
+	return meta, nil
 }
 
 // Commit implements Transport.
 func (h *HTTP) Commit(p, shard, keep int, gids []int32, housekeep bool) error {
-	_, err := h.rpc(context.Background(), p, RPCRequest{
-		Op: "commit", Job: h.cfg.Job, Shard: shard, Keep: keep, Gids: gids, Housekeep: housekeep,
+	_, err := h.call(context.Background(), p, RPCRequest{
+		Op: "commit", Job: h.cfg.Job, Shard: shard, Keep: keep,
+		Payload: AppendGids(nil, gids), Housekeep: housekeep,
 	})
 	return err
 }
 
 // Keys implements Transport.
 func (h *HTTP) Keys(p, shard int, gids []int32) ([][]uint64, error) {
-	out, err := h.rpc(context.Background(), p, RPCRequest{Op: "keys", Job: h.cfg.Job, Shard: shard, Gids: gids})
+	out, err := h.rpc(context.Background(), p, RPCRequest{
+		Op: "keys", Job: h.cfg.Job, Shard: shard, Payload: AppendGids(nil, gids),
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -91,11 +91,12 @@ func (m *Model[S]) RenderKey(key []uint64) string {
 
 // PendMeta is the promotion-relevant view of one pending entry: what
 // the coordinator needs to merge shards into the global discovery order
-// and extend its parent/selection trace arrays. Parent is a gid.
+// and extend its parent/selection trace arrays. Parent is a gid; Sel is
+// the packed selection (one byte per selected process).
 type PendMeta struct {
-	Pos    uint64 `json:"pos"`
-	Parent int32  `json:"parent"`
-	Sel    []byte `json:"sel,omitempty"`
+	Pos    uint64
+	Parent int32
+	Sel    string
 }
 
 // LayerViol is one violation detected during a peer's slice of a layer
@@ -125,10 +126,12 @@ type LayerReport struct {
 }
 
 // PeerEngine is the coordinator-facing surface of one cluster peer. All
-// methods except Ingest are called from the coordinator's serial
-// phases, one at a time; Ingest is called concurrently with Expand
-// (frames arrive while workers expand) and is internally synchronized
-// by the visited set's striped locks.
+// methods except Ingest, PendMeta and Commit are called from the
+// coordinator's serial phases, one at a time; PendMeta and Commit may
+// run concurrently for distinct hosted shards (each touches only its
+// own shard); Ingest is called concurrently with Expand (frames arrive
+// while workers expand) and is internally synchronized by the visited
+// set's striped locks.
 type PeerEngine interface {
 	// Seed enumerates the model's full deterministic init stream and
 	// probes the configurations owned by a hosted shard (pos = stream
@@ -170,11 +173,13 @@ type PeerEngine interface {
 	// SetRoute replaces the shard→peer routing table (after adoption).
 	SetRoute(route []int) error
 	// SetSender installs the frame transport: send must deliver the
-	// frame to peer dst's Ingest before returning, may be called
-	// concurrently from multiple workers, and must not retain the
-	// frame. A send error is absorbed into the layer report's
-	// SendFailures (the coordinator rolls the layer back), never a
-	// wrong result.
+	// frame to peer dst's Ingest before returning and must not retain
+	// the frame. Expand calls it from one sender goroutine per
+	// destination (so concurrently for distinct destinations), with at
+	// most sendQueue further frames queued behind each call, and
+	// returns only once every frame has been sent. A send error is
+	// absorbed into the layer report's SendFailures (the coordinator
+	// rolls the layer back), never a wrong result.
 	SetSender(send func(dst int, frame []byte) error)
 	// Ingest applies one frame from a remote peer: probe records enter
 	// the owning shard's pending set (the pos min-merge makes arrival
@@ -232,10 +237,22 @@ type peerEngine[S sim.Cloneable[S]] struct {
 	route    []int // shard -> peer
 	send     func(dst int, frame []byte) error
 	outboxes []*peerOutbox
+	// queues hold each destination's flushed frames for its sender
+	// goroutine (live only inside Expand); free recycles sent frame
+	// buffers back to the workers' outboxes.
+	queues []chan []byte
+	free   chan []byte
 
 	capTrunc  atomic.Bool
 	sendFails atomic.Int64
 }
+
+// sendQueue is how many flushed frames may wait behind the one a
+// destination's sender is sending: enough to keep the sender busy while
+// workers refill their outboxes, few enough that a slow peer costs at
+// most sendQueue+1 frames of memory per destination before the workers
+// block on it.
+const sendQueue = 4
 
 // NewPeer builds a shard-hosting engine for one cluster peer. newModel
 // and opts must be identical on every peer (and on the coordinator);
@@ -287,6 +304,11 @@ func NewPeer[S sim.Cloneable[S]](newModel func() *Model[S], opts Options, cfg Pe
 		e.outboxes[w] = ob
 		e.wss[w].cl = &peerHooks{sink: ob.sink, capMiss: ob.capMiss}
 	}
+	e.queues = make([]chan []byte, cfg.NShards)
+	// Room for every buffer that can exist: one per (worker,
+	// destination) outbox plus a full queue and one in flight per
+	// destination — so a returned buffer is never dropped.
+	e.free = make(chan []byte, cfg.NShards*(opts.Workers+sendQueue+1))
 	return e, nil
 }
 
@@ -394,6 +416,16 @@ func (e *peerEngine[S]) Expand(depth int, firstGid int32, atCap bool) (rep *Laye
 	aggs := make([]layerAgg, workers)
 	var mu sync.Mutex
 	var expandErr error
+	var senders sync.WaitGroup
+	for dst := range e.queues {
+		q := make(chan []byte, sendQueue)
+		e.queues[dst] = q
+		senders.Add(1)
+		go func() {
+			defer senders.Done()
+			e.runSender(dst, q)
+		}()
+	}
 	par.ForEachWorker(len(items), workers, func(w, i int) {
 		defer func() {
 			if r := recover(); r != nil {
@@ -417,6 +449,10 @@ func (e *peerEngine[S]) Expand(depth int, firstGid int32, atCap bool) (rep *Laye
 	for _, ob := range e.outboxes {
 		ob.flushAll()
 	}
+	for _, q := range e.queues {
+		close(q)
+	}
+	senders.Wait()
 	if expandErr != nil {
 		return nil, fmt.Errorf("explore: %w", expandErr)
 	}
@@ -460,7 +496,7 @@ func (e *peerEngine[S]) PendMeta(shard int) (meta []PendMeta, err error) {
 	ps.drained = ps.vs.Drain()
 	meta = make([]PendMeta, len(ps.drained))
 	for i, f := range ps.drained {
-		meta[i] = PendMeta{Pos: f.Pos, Parent: f.Parent, Sel: []byte(f.Sel)}
+		meta[i] = PendMeta{Pos: f.Pos, Parent: f.Parent, Sel: f.Sel}
 	}
 	return meta, nil
 }
@@ -665,24 +701,30 @@ type peerOutbox struct {
 		outCtx() (nShards int, flushAt int, words int)
 		routeOf(shard int) int
 		localShard(shard int) *peerShard
-		deliver(dst int, frame []byte)
+		// deliver takes ownership of frame and returns a buffer to
+		// build the next frame in.
+		deliver(dst int, frame []byte) []byte
 	}
 	bufs   [][]byte
 	counts []int
 }
 
 func (ob *peerOutbox) init() {
-	nShards, _, words := ob.e.outCtx()
+	nShards, _, _ := ob.e.outCtx()
 	ob.bufs = make([][]byte, nShards)
 	ob.counts = make([]int, nShards)
 	for d := range ob.bufs {
-		buf := make([]byte, 0, 1<<12)
-		buf = append(buf, frameMagic[:]...)
-		buf = append(buf, frameVersion, 0)
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(words))
-		buf = binary.LittleEndian.AppendUint32(buf, 0)
-		ob.bufs[d] = buf
+		ob.bufs[d] = ob.header(make([]byte, 0, 1<<12))
 	}
+}
+
+// header starts a frame in buf (count patched at flush).
+func (ob *peerOutbox) header(buf []byte) []byte {
+	_, _, words := ob.e.outCtx()
+	buf = append(buf[:0], frameMagic[:]...)
+	buf = append(buf, frameVersion, 0)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(words))
+	return binary.LittleEndian.AppendUint32(buf, 0)
 }
 
 func (ob *peerOutbox) sink(key []uint64, hash uint64, pos uint64, parent int32, sel []byte) {
@@ -739,8 +781,7 @@ func (ob *peerOutbox) flush(dst int) {
 	}
 	buf := ob.bufs[dst]
 	binary.LittleEndian.PutUint32(buf[8:frameHeaderLen], uint32(ob.counts[dst]))
-	ob.e.deliver(dst, buf)
-	ob.bufs[dst] = buf[:frameHeaderLen]
+	ob.bufs[dst] = ob.header(ob.e.deliver(dst, buf))
 	ob.counts[dst] = 0
 }
 
@@ -756,17 +797,37 @@ func (e *peerEngine[S]) localShard(shard int) *peerShard {
 	return e.shards[shard]
 }
 func (e *peerEngine[S]) noteCapTrunc() { e.capTrunc.Store(true) }
-func (e *peerEngine[S]) deliver(dst int, frame []byte) {
-	if e.send == nil {
-		e.sendFails.Add(1)
-		return
-	}
-	if err := e.send(dst, frame); err != nil {
-		e.sendFails.Add(1)
+
+// deliver queues a flushed frame for dst's sender, blocking while that
+// destination already has sendQueue frames waiting, and hands back a
+// recycled buffer.
+func (e *peerEngine[S]) deliver(dst int, frame []byte) []byte {
+	e.queues[dst] <- frame
+	select {
+	case buf := <-e.free:
+		return buf
+	default:
+		return make([]byte, 0, 1<<12)
 	}
 }
 
-func (e *peerEngine[S]) Ingest(frame []byte) error {
+// runSender sends dst's frames in queue order until Expand closes the
+// queue, counting each failed send; a failure does not stop the later
+// frames, so every frame is either acknowledged or counted.
+func (e *peerEngine[S]) runSender(dst int, q <-chan []byte) {
+	for frame := range q {
+		if e.send == nil || e.send(dst, frame) != nil {
+			e.sendFails.Add(1)
+		}
+		select {
+		case e.free <- frame:
+		default:
+		}
+	}
+}
+
+func (e *peerEngine[S]) Ingest(frame []byte) (err error) {
+	defer catchIO(&err)
 	if len(frame) < frameHeaderLen {
 		return fmt.Errorf("explore: short frontier frame (%d bytes)", len(frame))
 	}
@@ -809,7 +870,11 @@ func (e *peerEngine[S]) Ingest(frame []byte) error {
 				key[i] = binary.LittleEndian.Uint64(p[i*8:])
 			}
 			p = p[keyBytes:]
-			ps.vs.Probe(key, hashWords(key), pos, parent, sel)
+			h := hashWords(key)
+			if ShardOf(h, e.nShards) != shard {
+				return fmt.Errorf("explore: frame record %d: key is not owned by shard %d", rec, shard)
+			}
+			ps.vs.Probe(key, h, pos, parent, sel)
 		case recCapCheck:
 			if len(p) < keyBytes {
 				return fmt.Errorf("explore: truncated frontier frame (record %d)", rec)
@@ -818,7 +883,11 @@ func (e *peerEngine[S]) Ingest(frame []byte) error {
 				key[i] = binary.LittleEndian.Uint64(p[i*8:])
 			}
 			p = p[keyBytes:]
-			if !ps.vs.Contains(key, hashWords(key)) {
+			h := hashWords(key)
+			if ShardOf(h, e.nShards) != shard {
+				return fmt.Errorf("explore: frame record %d: key is not owned by shard %d", rec, shard)
+			}
+			if !ps.vs.Contains(key, h) {
 				e.noteCapTrunc()
 			}
 		default:

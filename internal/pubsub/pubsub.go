@@ -21,11 +21,11 @@
 package pubsub
 
 import (
+	"container/heap"
 	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // Canonical event types. The broker itself treats the type as opaque
@@ -91,6 +91,17 @@ type Broker struct {
 
 	mu     sync.Mutex
 	topics map[string]*topic
+	// The retirement index makes picking the MaxTopics victim O(1)
+	// amortized instead of a scan of every topic. Every topic that can
+	// be retired (no subscribers) is in exactly one place: the list of
+	// its done state, in stamp order, when it got there by a touch; or
+	// the late heap, when its last subscriber left a running topic —
+	// which makes it retirable at an old stamp without a touch, so it
+	// cannot go to the list tail. The late heap holds stale entries
+	// too; current checks them as they surface.
+	clock uint64
+	lists [2]topicList // [0] running topics, [1] done topics
+	late  lateHeap
 
 	published atomic.Int64
 	evictions atomic.Int64
@@ -102,7 +113,66 @@ type topic struct {
 	buf  []Event // replay ring, oldest first, len <= RingSize
 	subs map[*Sub]struct{}
 	done bool
-	last time.Time // last publish or subscribe, for cap eviction
+	// stamp orders topics by their last publish or subscribe, for cap
+	// eviction: a broker-wide counter, so no two touches tie.
+	stamp uint64
+	// list is the retirement list holding t (nil if none), with t's
+	// neighbours in it.
+	list       *topicList
+	prev, next *topic
+}
+
+// topicList is a doubly linked list of topics, oldest stamp first.
+type topicList struct{ head, tail *topic }
+
+func (l *topicList) push(t *topic) {
+	t.list, t.prev, t.next = l, l.tail, nil
+	if l.tail != nil {
+		l.tail.next = t
+	} else {
+		l.head = t
+	}
+	l.tail = t
+}
+
+func unlist(t *topic) {
+	l := t.list
+	if l == nil {
+		return
+	}
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		l.head = t.next
+	}
+	if t.next != nil {
+		t.next.prev = t.prev
+	} else {
+		l.tail = t.prev
+	}
+	t.list, t.prev, t.next = nil, nil, nil
+}
+
+// lateEntry is a late-heap entry: a running topic as of the moment its
+// last subscriber left.
+type lateEntry struct {
+	t     *topic
+	stamp uint64
+}
+
+// lateHeap is a min-heap of entries by stamp.
+type lateHeap []lateEntry
+
+func (h lateHeap) Len() int           { return len(h) }
+func (h lateHeap) Less(i, j int) bool { return h[i].stamp < h[j].stamp }
+func (h lateHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *lateHeap) Push(x any)        { *h = append(*h, x.(lateEntry)) }
+func (h *lateHeap) Pop() any {
+	old := *h
+	e := old[len(old)-1]
+	old[len(old)-1] = lateEntry{}
+	*h = old[:len(old)-1]
+	return e
 }
 
 // Sub is one subscription. Read from Events() until it is closed;
@@ -130,8 +200,9 @@ func New(opts Options) *Broker {
 	return &Broker{opts: opts, topics: map[string]*topic{}}
 }
 
-// topicLocked returns (creating if needed) the named topic. Caller
-// holds b.mu.
+// topicLocked returns (creating if needed) the named topic; the
+// caller touches it once its done state and subscribers are settled.
+// Caller holds b.mu.
 func (b *Broker) topicLocked(name string) *topic {
 	t := b.topics[name]
 	if t == nil {
@@ -141,8 +212,29 @@ func (b *Broker) topicLocked(name string) *topic {
 		t = &topic{name: name, subs: map[*Sub]struct{}{}}
 		b.topics[name] = t
 	}
-	t.last = time.Now()
 	return t
+}
+
+// touchLocked records a publish or subscribe on t: the newest stamp,
+// and the tail of its done state's list if it has no subscribers.
+func (b *Broker) touchLocked(t *topic) {
+	b.clock++
+	t.stamp = b.clock
+	unlist(t)
+	if len(t.subs) == 0 {
+		l := &b.lists[0]
+		if t.done {
+			l = &b.lists[1]
+		}
+		l.push(t)
+	}
+}
+
+// currentLate reports whether a late-heap entry still stands for a
+// retirable topic: not retired, not touched (or listed) since, and
+// still without subscribers.
+func (b *Broker) currentLate(e lateEntry) bool {
+	return b.topics[e.t.name] == e.t && e.t.stamp == e.stamp && e.t.list == nil && len(e.t.subs) == 0
 }
 
 // retireOneLocked drops the stalest subscriber-less topic (preferring
@@ -151,20 +243,38 @@ func (b *Broker) topicLocked(name string) *topic {
 // bounded by the connection count, which the serving tier already
 // caps.
 func (b *Broker) retireOneLocked() {
-	var victim *topic
-	for _, t := range b.topics {
-		if len(t.subs) > 0 {
-			continue
+	victim := b.lists[1].head
+	if victim == nil {
+		victim = b.lists[0].head
+		for len(b.late) > 0 && !b.currentLate(b.late[0]) {
+			heap.Pop(&b.late)
 		}
-		if victim == nil ||
-			(t.done && !victim.done) ||
-			(t.done == victim.done && t.last.Before(victim.last)) {
-			victim = t
+		if len(b.late) > 0 && (victim == nil || b.late[0].stamp < victim.stamp) {
+			victim = heap.Pop(&b.late).(lateEntry).t
 		}
 	}
 	if victim != nil {
+		unlist(victim)
 		delete(b.topics, victim.name)
 	}
+}
+
+// leftLocked indexes a running topic whose last subscriber just left.
+func (b *Broker) leftLocked(t *topic) {
+	// Compact once stale entries outnumber the topics: O(1) amortized
+	// over the pushes since the last compaction.
+	if len(b.late) > 2*len(b.topics)+64 {
+		live := b.late[:0]
+		for _, e := range b.late {
+			if b.currentLate(e) {
+				live = append(live, e)
+			}
+		}
+		clear(b.late[len(live):])
+		b.late = live
+		heap.Init(&b.late)
+	}
+	heap.Push(&b.late, lateEntry{t, t.stamp})
 }
 
 // Publish marshals data, assigns the topic's next sequence number and
@@ -197,6 +307,7 @@ func (b *Broker) Publish(name, typ string, data any) (Event, error) {
 			evicted = append(evicted, s)
 		}
 	}
+	b.touchLocked(t)
 	b.mu.Unlock()
 	for _, s := range evicted {
 		if s.state.CompareAndSwap(0, 1) {
@@ -224,6 +335,7 @@ func (b *Broker) Subscribe(name string, after uint64) *Sub {
 		}
 	}
 	t.subs[s] = struct{}{}
+	b.touchLocked(t)
 	return s
 }
 
@@ -242,11 +354,14 @@ func (s *Sub) Close() {
 	s.b.mu.Lock()
 	_, live := s.t.subs[s]
 	delete(s.t.subs, s)
-	if s.t.done && len(s.t.subs) == 0 {
-		// The ring has served its purpose: terminal watchers from here
-		// on are synthesized from the job record / verdict store.
-		if cur := s.b.topics[s.t.name]; cur == s.t {
+	if len(s.t.subs) == 0 && s.b.topics[s.t.name] == s.t {
+		if s.t.done {
+			// The ring has served its purpose: terminal watchers from
+			// here on are synthesized from the job record / verdict store.
+			unlist(s.t)
 			delete(s.b.topics, s.t.name)
+		} else if live {
+			s.b.leftLocked(s.t)
 		}
 	}
 	s.b.mu.Unlock()

@@ -28,9 +28,9 @@ import (
 )
 
 // Request-body bounds for the cluster tier: the control plane carries
-// commit gid arrays (bounded by MaxStatesCap states ≈ tens of MB of
-// JSON at the default cap), the data plane carries flush-bounded
-// binary frames.
+// packed commit gid lists (bounded by MaxStatesCap states, a few bytes
+// each, base64 inside the JSON envelope), the data plane carries
+// flush-bounded binary frames.
 const (
 	maxClusterRPCBytes   = 256 << 20
 	maxClusterFrameBytes = 64 << 20
@@ -94,6 +94,14 @@ func (s *Server) handleClusterRPC(w http.ResponseWriter, r *http.Request) {
 		s.clusterError(w, http.StatusNotFound, "no open cluster job %q on this peer", req.Job)
 		return
 	}
+	var gids []int32
+	if req.Op == "commit" || req.Op == "keys" {
+		var err error
+		if gids, err = cluster.DecodeGids(req.Payload); err != nil {
+			s.clusterError(w, http.StatusBadRequest, "cluster %s: %v", req.Op, err)
+			return
+		}
+	}
 	var out cluster.RPCResponse
 	var err error
 	switch req.Op {
@@ -104,14 +112,16 @@ func (s *Server) handleClusterRPC(w http.ResponseWriter, r *http.Request) {
 	case "finish":
 		out.Cap = cp.engine.FinishLayer()
 	case "pendmeta":
-		out.Meta, err = cp.engine.PendMeta(req.Shard)
-		if out.Meta == nil {
-			out.Meta = []explore.PendMeta{}
+		var meta []explore.PendMeta
+		if meta, err = cp.engine.PendMeta(req.Shard); err == nil {
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Write(cluster.AppendMeta(make([]byte, 0, 16+8*len(meta)), meta))
+			return
 		}
 	case "commit":
-		err = cp.engine.Commit(req.Shard, req.Keep, req.Gids, req.Housekeep)
+		err = cp.engine.Commit(req.Shard, req.Keep, gids, req.Housekeep)
 	case "keys":
-		out.Keys, err = cp.engine.Keys(req.Shard, req.Gids)
+		out.Keys, err = cp.engine.Keys(req.Shard, gids)
 	case "snapshot":
 		ck := s.cfg.Store.Checkpoint(cluster.SnapshotKey(req.Job, req.Shard))
 		err = ck.Save(func(w io.Writer) error { return cp.engine.SnapshotShard(req.Shard, w) })
